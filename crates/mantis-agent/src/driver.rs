@@ -235,10 +235,9 @@ impl MantisDriver {
         self.lock_until = start + self.cost.device_lock_ns.min(dur);
         self.stats.ops += 1;
         self.stats.busy_ns += dur;
-        if self.telemetry.is_enabled() {
-            self.telemetry.span_begin(Scope::Driver, op, start);
-            self.telemetry.span_end(Scope::Driver, op, end);
-            self.telemetry.driver_op(op, dur);
+        if let Some(mut rec) = self.telemetry.recorder() {
+            rec.span(Scope::Driver, op, start, end);
+            rec.driver_op(op, dur);
         }
     }
 

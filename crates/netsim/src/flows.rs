@@ -16,10 +16,11 @@
 //! no allocation, no name lookups, no boxed closures.
 
 use crate::sim::{EventKind, Simulator};
-use mantis_telemetry::Scope;
+use mantis_telemetry::{MetricId, Scope, Telemetry};
 use rmt_sim::{Nanos, PacketDesc, PacketTemplate, PortId};
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Header fields to stamp on every generated packet:
 /// `(instance, field, value)`.
@@ -98,6 +99,10 @@ pub struct TcpState {
     send_gen: u64,
     /// `cfg.fields` compiled against the target switch's spec at spawn.
     tmpl: PacketTemplate,
+    /// The `netsim.flow{id}_rate_bps` gauge, interned on the first AIMD
+    /// tick, with the registry it belongs to (the fabric's handle can be
+    /// swapped under a live flow).
+    rate_gauge: Option<(Arc<Telemetry>, MetricId)>,
 }
 
 impl TcpState {
@@ -158,6 +163,7 @@ pub fn spawn_tcp_on(sim: &mut Simulator, switch: usize, cfg: TcpConfig) -> Rc<Re
         backoff_factor: None,
         stopped: false,
         tmpl,
+        rate_gauge: None,
     }));
     let flow = u32::try_from(sim.flows.tcp.len()).expect("tcp flow count fits u32");
     sim.flows.tcp.push(state.clone());
@@ -244,14 +250,17 @@ pub(crate) fn tcp_tick_event(sim: &mut Simulator, flow: u32, nominal: Nanos) {
             st.rate_bps = (st.rate_bps + st.cfg.increase_bps).min(st.cfg.max_rate_bps);
         }
         st.loss_this_rtt = false;
-        {
-            let tel = sim.telemetry();
-            if tel.is_enabled() {
-                tel.gauge_set(
-                    &format!("netsim.flow{}_rate_bps", st.flow_id),
-                    i128::from(st.rate_bps),
-                );
-            }
+        let tel = sim.telemetry();
+        if let Some(mut rec) = tel.recorder() {
+            let id = match &st.rate_gauge {
+                Some((registry, id)) if Arc::ptr_eq(registry, &tel) => *id,
+                _ => {
+                    let id = rec.metric_id(&format!("netsim.flow{}_rate_bps", st.flow_id));
+                    st.rate_gauge = Some((tel.clone(), id));
+                    id
+                }
+            };
+            rec.gauge_set(id, i128::from(st.rate_bps));
         }
         // If the send loop overslept at a previously tiny rate,
         // reschedule it at the new rate's pace.

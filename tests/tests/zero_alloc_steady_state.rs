@@ -9,13 +9,19 @@
 //! PHVs, wire hops move buffers instead of copying, transmit batches
 //! reuse scratch capacity, and the capped tx log recycles exit buffers
 //! back to their emitting switch's freelist.
+//!
+//! The same holds with telemetry on: every switch records into one shared
+//! registry by lazily interned metric ids, and trace events carry static
+//! names, so once each metric has been recorded and the event ring is
+//! full a hop neither formats a name nor allocates an event.
 
 use mantis::netsim::{spawn_scale_flows, ScaleConfig, ScaleHost, Simulator, Topology, HOST_PORTS};
 use mantis::p4_ast::Value;
 use mantis::rmt_sim::{switch_from_source, KeyField, PortId};
-use mantis::{Clock, SharedSwitch, SwitchConfig};
+use mantis::{Clock, SharedSwitch, SwitchConfig, Telemetry};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 struct Counting;
 
@@ -38,6 +44,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTER: Counting = Counting;
 
+/// The allocation counter is process-wide, so the tests take turns.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 const ROUTE_P4: &str = r#"
 header_type ip_t { fields { src : 32; dst : 32; } }
 header ip_t ip;
@@ -59,12 +68,17 @@ fn host_addr(leaf: usize, h: usize) -> u64 {
     (leaf * HOST_PORTS as usize + h + 1) as u64
 }
 
-fn build_fabric() -> Simulator {
+fn build_fabric(telemetry: bool) -> Simulator {
     let clock = Clock::new();
+    let registry = Telemetry::shared();
     let mut switches = Vec::new();
-    for _ in 0..LEAVES + SPINES {
-        let sw = switch_from_source(ROUTE_P4, SwitchConfig::default(), clock.clone())
+    for i in 0..LEAVES + SPINES {
+        let mut sw = switch_from_source(ROUTE_P4, SwitchConfig::default(), clock.clone())
             .expect("route program compiles");
+        if telemetry {
+            sw.set_telemetry(registry.clone());
+            sw.set_fabric_index(Some(i as u16));
+        }
         switches.push(SharedSwitch::new(sw));
     }
     for (i, handle) in switches.iter().enumerate() {
@@ -101,8 +115,10 @@ fn build_fabric() -> Simulator {
     sim
 }
 
-#[test]
-fn steady_state_packet_path_does_not_allocate() {
+/// Run a small scale block and assert that its second half, after the
+/// first half warmed every pool and buffer up, allocates nothing.
+fn assert_steady_state_does_not_allocate(telemetry: bool) {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let hosts: Vec<ScaleHost> = (0..LEAVES)
         .flat_map(|leaf| {
             (0..HOST_PORTS as usize).map(move |h| ScaleHost {
@@ -119,7 +135,7 @@ fn steady_state_packet_path_does_not_allocate() {
         ..Default::default()
     };
 
-    let mut sim = build_fabric();
+    let mut sim = build_fabric(telemetry);
     let planned = spawn_scale_flows(&mut sim, &cfg, &hosts).expect("flows spawn");
     assert!(planned > 10_000, "block too small to exercise steady state");
 
@@ -133,11 +149,27 @@ fn steady_state_packet_path_does_not_allocate() {
 
     let exited = sim.tx_count;
     assert!(exited > 0, "no traffic crossed the fabric");
+    if telemetry {
+        let tel = sim.telemetry();
+        assert!(tel.counter("sw0.switch.rx") > 0, "no hop was recorded");
+        assert!(tel.snapshot().events_dropped > 0, "event ring never filled");
+    }
     assert_eq!(
         after - before,
         0,
-        "steady-state half allocated {} times (planned {} packets)",
+        "steady-state half allocated {} times (planned {} packets, telemetry {})",
         after - before,
-        planned
+        planned,
+        telemetry
     );
+}
+
+#[test]
+fn steady_state_packet_path_does_not_allocate() {
+    assert_steady_state_does_not_allocate(false);
+}
+
+#[test]
+fn steady_state_packet_path_with_telemetry_does_not_allocate() {
+    assert_steady_state_does_not_allocate(true);
 }
