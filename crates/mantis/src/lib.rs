@@ -718,5 +718,16 @@ control ingress { apply(t); }
         let snap = fab.telemetry_snapshot();
         assert!(snap.contains("sw0.switch.tx"), "snapshot: {snap}");
         assert!(snap.contains("sw1.switch.rx"), "snapshot: {snap}");
+        // Each switch keeps its own queue-depth gauges (switch 0 queues on
+        // its uplink, switch 1 on port 1); no unscoped gauge is shared.
+        assert!(
+            snap.contains("\"sw0.tm.q4_depth_bytes\""),
+            "snapshot: {snap}"
+        );
+        assert!(
+            snap.contains("\"sw1.tm.q1_depth_bytes\""),
+            "snapshot: {snap}"
+        );
+        assert!(!snap.contains("\"tm.q"), "snapshot: {snap}");
     }
 }
