@@ -1,4 +1,4 @@
-//! Internet-scale traffic benchmark (`figures -- scale`): the timing-wheel
+//! Internet-scale traffic benchmark (`figures -- scale`): the serial
 //! event core, interned zero-alloc PHVs, and sharded flow engine driving
 //! the paper's Fig. 14 traffic block **unscaled** — ~370 K Pareto-sized
 //! flows (~9 M packets) over 20 s of virtual time — across a leaf–spine
@@ -8,7 +8,8 @@
 //!
 //! 1. **Headline throughput** — the full flow block on the new engine,
 //!    reported as injected packets per wall-clock second plus the flow
-//!    engine's own gauges (batching, wheel occupancy, arena bytes).
+//!    engine's own gauges (batching, pending events, arena bytes), stamped
+//!    with the host it ran on.
 //! 2. **Engine speedup** — the same full block driven the pre-refactor
 //!    way: one boxed closure per packet arrival scheduled on a
 //!    `BinaryHeap`, a [`PacketDesc`] materialized per injection,
@@ -19,9 +20,9 @@
 //!    scans per pump). The replica's throughput was validated against a
 //!    build of the actual pre-refactor tree driving this same block
 //!    (within 10%). The acceptance bar is ≥ 5×.
-//! 3. **Determinism** — the calibration subset at one worker vs. the
-//!    worker-pool drain must produce byte-identical FNV-1a fingerprints
-//!    over every per-switch transmit counter and fabric-exit packet.
+//! 3. **Determinism** — two runs of the calibration subset must produce
+//!    byte-identical FNV-1a fingerprints over every per-switch transmit
+//!    counter and fabric-exit packet.
 //!
 //! `MANTIS_FLOWS` overrides the flow count (hardened via
 //! [`mantis::flows_from_env`]); `MANTIS_BENCH_QUICK=1` shrinks the block
@@ -85,21 +86,24 @@ pub struct ScaleGauges {
     pub batches: u64,
     pub max_batch: u64,
     pub mean_batch: f64,
-    pub wheel_slots: usize,
+    /// Events still queued when the run ended.
+    pub pending_events: usize,
     pub arena_bytes: u64,
 }
 
 /// Everything `figures -- scale` reports (`"scale"` in `BENCH_perf.json`).
 #[derive(Clone, Debug, Serialize)]
 pub struct ScaleBenchResult {
+    /// Host cores, CPU, rustc and git revision of the measuring build.
+    pub host: String,
     pub leaves: usize,
     pub spines: usize,
     pub hosts: usize,
     pub quick: bool,
     /// The full-block run on the new engine.
     pub headline: ScaleRun,
-    /// Calibration subset on the new engine (serial drain); re-run with
-    /// the pooled drain for the determinism check.
+    /// Calibration subset on the new engine; run twice for the
+    /// determinism check.
     pub calibration: ScaleRun,
     /// The *same full block* as `headline`, driven the pre-refactor way:
     /// one boxed closure per packet, string-described PHVs at every wire
@@ -110,8 +114,8 @@ pub struct ScaleBenchResult {
     /// the full block — ≥ 5 is the acceptance bar for the engine
     /// refactor.
     pub engine_speedup: f64,
-    /// Serial and pooled drains of the calibration subset produced
-    /// byte-identical fingerprints.
+    /// Two runs of the calibration subset produced byte-identical
+    /// fingerprints.
     pub deterministic: bool,
     pub gauges: ScaleGauges,
 }
@@ -222,9 +226,8 @@ fn scale_cfg(flows: u64, duration_ns: u64) -> ScaleConfig {
 }
 
 /// Run the sharded template engine once and measure it.
-fn run_engine(cfg: &ScaleConfig, workers: usize) -> (ScaleRun, ScaleGauges) {
+fn run_engine(cfg: &ScaleConfig) -> (ScaleRun, ScaleGauges) {
     let mut sim = build_fabric();
-    sim.set_workers(workers);
     let planned = spawn_scale_flows(&mut sim, cfg, &hosts()).expect("scale flows spawn");
     let t0 = Instant::now();
     // Margin past the last arrival so in-flight packets cross the fabric.
@@ -236,7 +239,7 @@ fn run_engine(cfg: &ScaleConfig, workers: usize) -> (ScaleRun, ScaleGauges) {
         batches: totals.batches,
         max_batch: totals.max_batch,
         mean_batch: totals.injected_pkts as f64 / totals.batches.max(1) as f64,
-        wheel_slots: sim.wheel_slots(),
+        pending_events: sim.pending_events(),
         arena_bytes: sim.arena_bytes(),
     };
     let run = ScaleRun {
@@ -385,34 +388,30 @@ pub fn run(quick: bool) -> ScaleBenchResult {
     let full = scale_cfg(flows, duration_ns);
     let calib = scale_cfg((flows / 8).max(500), duration_ns / 8);
 
-    // Determinism on the calibration subset: serial vs pooled drains.
-    let (calibration, _) = run_engine(&calib, 1);
-    let (pooled, _) = run_engine(&calib, 4);
-    let deterministic = calibration.fingerprint == pooled.fingerprint
-        && calibration.injected_pkts == pooled.injected_pkts;
+    // Determinism on the calibration subset: two runs of one seed.
+    let (calibration, _) = run_engine(&calib);
+    let (repeat, _) = run_engine(&calib);
+    let deterministic = calibration.fingerprint == repeat.fingerprint
+        && calibration.injected_pkts == repeat.injected_pkts;
     assert!(
         deterministic,
-        "scale drains disagree: serial {} vs pooled {}",
-        calibration.fingerprint, pooled.fingerprint
+        "scale runs disagree: {} vs {}",
+        calibration.fingerprint, repeat.fingerprint
     );
 
     // Engine speedup: old engine vs new engine on the *identical* full
     // block. Measuring the baseline at a reduced scale would flatter it —
     // the pre-refactor heap of boxed per-packet closures degrades as the
     // pending-event set outgrows the cache, and that degradation at
-    // ~370 K pending events is precisely what the timing wheel removes.
+    // ~370 K pending events is precisely what the sharded flow engine
+    // removes: it keeps about ten events pending.
     let baseline = run_legacy(&full, &hosts());
 
-    // The headline block. Worker count comes from `MANTIS_WORKERS`
-    // (defaulting to the host's available parallelism): the epoch-barrier
-    // drain only beats the serial one on hosts with spare cores, and the
-    // per-event barrier is pure overhead on a single-core runner — the
-    // calibration pair above already proves pooled output is
-    // byte-identical.
-    let (headline, gauges) = run_engine(&full, usize::from(mantis::workers_from_env()));
+    let (headline, gauges) = run_engine(&full);
     let engine_speedup = headline.pkts_per_sec / baseline.pkts_per_sec.max(1e-9);
 
     ScaleBenchResult {
+        host: host_stamp(),
         leaves: LEAVES,
         spines: SPINES,
         hosts: LEAVES * HOST_PORTS as usize,
@@ -424,6 +423,31 @@ pub fn run(quick: bool) -> ScaleBenchResult {
         deterministic,
         gauges,
     }
+}
+
+/// One line naming the host and build a run was measured on.
+fn host_stamp() -> String {
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find_map(|l| l.strip_prefix("model name"))
+                .map(|v| v.trim_start_matches([' ', '\t', ':']).trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    let run = |prog: &str, args: &[&str]| {
+        std::process::Command::new(prog)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+            .unwrap_or_else(|| "unknown".into())
+    };
+    let rustc = run("rustc", &["--version"]);
+    let rev = run("git", &["describe", "--always", "--dirty", "--abbrev=12"]);
+    format!("cores={cores} cpu=\"{cpu}\" rustc=\"{rustc}\" git_rev={rev}")
 }
 
 #[cfg(test)]
@@ -441,7 +465,7 @@ mod tests {
         // traffic plan, so the speedup ratio compares like with like.
         // (Exit *order* may differ between engines when same-tick packets
         // share a switch, so fingerprints aren't compared across engines —
-        // only across worker counts.)
+        // only across repeated runs.)
         assert_eq!(r.headline.planned_pkts, r.baseline.planned_pkts);
         assert_eq!(r.headline.injected_pkts, r.baseline.injected_pkts);
         assert!(r.baseline.accepted_pkts > 0);

@@ -479,7 +479,7 @@ impl MantisDriver {
             .table_ref_on(pipe, table)
             .default_action()
             .cloned()
-            .unwrap_or((ActionId(0), std::sync::Arc::from(Vec::new())));
+            .unwrap_or((ActionId(0), std::rc::Rc::from(Vec::new())));
         Ok((action, data.to_vec()))
     }
 

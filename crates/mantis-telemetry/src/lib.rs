@@ -24,12 +24,12 @@
 //!   per-op histograms, so a single trace shows where a reaction
 //!   window went.
 //!
-//! The handle is `Arc`-shared and internally mutexed, so the deterministic
-//! parallel fabric executor (DESIGN.md §12) can hand worker threads
-//! per-shard *staging* handles ([`Telemetry::staging`]) and merge them
-//! back into the main registry in canonical shard order at each epoch
-//! barrier ([`Telemetry::merge_from`]) — trace bytes stay identical to a
-//! sequential run at any worker count.
+//! The handle is `Arc`-shared and internally mutexed, so one registry can
+//! be attached to every switch, agent and driver of a fabric. Threads
+//! that record side by side can each write into a private *staging*
+//! handle ([`Telemetry::staging`]) and have it merged back into the main
+//! registry in a fixed order ([`Telemetry::merge_from`]), so the exported
+//! bytes do not depend on thread scheduling.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::Write as _;
@@ -289,8 +289,7 @@ impl Histogram {
     }
 
     /// Fold another histogram into this one (bucket-wise). Histograms are
-    /// distributions, so merging is commutative — the epoch-barrier merge
-    /// still applies shards in canonical order for uniformity.
+    /// distributions, so merging is commutative.
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
@@ -541,7 +540,7 @@ impl Recorder<'_> {
 pub struct Telemetry {
     inner: Mutex<Inner>,
     /// Names this registry in the poison panic, so a recorder thread
-    /// that dies mid-update points at the failing shard.
+    /// that dies mid-update points at the failing staging handle.
     label: String,
     /// Mirror of `config.enabled`, which is fixed at construction: the
     /// packet hot path checks it before every record and must not pay a
@@ -558,8 +557,8 @@ impl Telemetry {
     // with the config inside the mutex, so construction always funnels
     // through `labeled`.
 
-    /// A registry whose poison panic names `label` (e.g. which staging
-    /// shard it backs).
+    /// A registry whose poison panic names `label` (e.g. which recorder
+    /// its staging handle backs).
     pub fn labeled(config: TelemetryConfig, label: impl Into<String>) -> Self {
         let enabled = config.enabled;
         Telemetry {
@@ -579,8 +578,8 @@ impl Telemetry {
                 // A recorder panicked while holding the registry. Limping
                 // on over half-applied counter updates would surface as
                 // an unrelated conservation-oracle failure later — crash
-                // loudly here, naming the registry, so chaos-test
-                // failures point at the shard that died.
+                // loudly here, naming the registry, so the failure
+                // points at the recorder that died.
                 let who = if self.label.is_empty() {
                     "shared registry"
                 } else {
@@ -614,18 +613,19 @@ impl Telemetry {
         }))
     }
 
-    /// A fresh per-shard staging handle mirroring this handle's master
-    /// switch: enabled iff `self` is, with an effectively unbounded ring so
+    /// A fresh staging handle mirroring this handle's master switch:
+    /// enabled iff `self` is, with an effectively unbounded ring so
     /// *which* events get dropped stays a property of the main ring's
-    /// capacity, not of how the epoch was sharded. Worker threads record
-    /// into their shard's staging handle; the coordinator folds the
-    /// buffers back in canonical shard order with [`Telemetry::merge_from`].
+    /// capacity, not of how recording was split across handles. Each
+    /// recording thread writes into its own staging handle; the owner
+    /// folds the buffers back in a fixed order with
+    /// [`Telemetry::merge_from`].
     pub fn staging(&self) -> Arc<Telemetry> {
-        self.staging_for("unnamed staging shard")
+        self.staging_for("unnamed staging handle")
     }
 
-    /// [`Telemetry::staging`] with a shard label, named in the poison
-    /// panic if a worker dies while holding the staging registry.
+    /// [`Telemetry::staging`] with a label, named in the poison panic if
+    /// a recorder dies while holding the staging registry.
     pub fn staging_for(&self, label: impl Into<String>) -> Arc<Telemetry> {
         let enabled = self.is_enabled();
         Arc::new(Telemetry::labeled(
@@ -642,8 +642,9 @@ impl Telemetry {
     /// (subject to this handle's ring capacity, exactly as if they had
     /// been recorded here directly), counters add, gauges take the staged
     /// final value, and histograms fold bucket-wise. Calling this for
-    /// every shard in canonical `(switch, pipe)` order reproduces the
-    /// byte-exact sequential recording order. The staged registry keeps
+    /// every staging handle in a fixed order reproduces byte for byte
+    /// what recording their contents here directly, one handle after
+    /// another, would have produced. The staged registry keeps
     /// its names (ids it issued stay valid) but no values.
     pub fn merge_from(&self, staged: &Telemetry) {
         let mut src = staged.lock();
@@ -1123,7 +1124,7 @@ mod tests {
 
         assert_eq!(direct.chrome_trace_json(), merged.chrome_trace_json());
         assert_eq!(direct.snapshot_json(), merged.snapshot_json());
-        // Gauge takes the later shard's final value (serial last-writer).
+        // Gauge takes the later staging handle's final value (last writer).
         assert_eq!(merged.gauge("tm.q0_depth_bytes"), 128);
         assert_eq!(merged.counter("switch.tx"), 8);
     }

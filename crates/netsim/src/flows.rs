@@ -511,7 +511,7 @@ pub(crate) fn hb_send_event(sim: &mut Simulator, flow: u32, nominal: Nanos) {
 /// Configuration of a bulk scale-flow workload: `flows` Pareto-sized flows
 /// between random host pairs, with starts and inter-packet gaps quantized
 /// to `tick_ns` so same-tick arrivals across a whole switch batch into one
-/// timing-wheel slot (drained by a single wake event).
+/// wake event.
 #[derive(Clone, Debug)]
 pub struct ScaleConfig {
     pub seed: u64,
@@ -789,7 +789,7 @@ pub fn scale_totals(sim: &Simulator) -> ScaleTotals {
 }
 
 /// Publish the scale engine's gauges (`netsim.scale.*`): active flows,
-/// wheel-slot occupancy, PHV arena bytes, and batch statistics. Only scale
+/// pending events, PHV arena bytes, and batch statistics. Only scale
 /// scenarios call this — the standing experiment goldens never see these
 /// names, so they stay byte-identical.
 pub fn publish_scale_telemetry(sim: &Simulator) {
@@ -803,7 +803,7 @@ pub fn publish_scale_telemetry(sim: &Simulator) {
     tel.gauge_set("netsim.scale.accepted_pkts", t.accepted_pkts as i128);
     tel.gauge_set("netsim.scale.batches", t.batches as i128);
     tel.gauge_set("netsim.scale.max_batch", t.max_batch as i128);
-    tel.gauge_set("netsim.scale.wheel_slots", sim.wheel_slots() as i128);
+    tel.gauge_set("netsim.scale.pending_events", sim.pending_events() as i128);
     tel.gauge_set("netsim.scale.arena_bytes", sim.arena_bytes() as i128);
 }
 

@@ -1,14 +1,17 @@
 //! The discrete-event simulator core.
 //!
 //! A [`Simulator`] owns the shared virtual clock, the fabric's switches,
-//! and an event queue — a hierarchical timing wheel
-//! ([`crate::wheel::TimingWheel`]) of typed [`EventKind`]s. The hot
-//! packet/flow/wire events are enum variants (no per-event allocation);
-//! arbitrary closures remain as the cold-path variant for experiment
-//! harnesses. Execution is fully deterministic: events tie-break by
-//! schedule order exactly as the historical `BinaryHeap` core did, and
-//! the per-event transmit drain visits switches in index order, so link
+//! and an event queue — a binary heap of typed [`EventKind`]s keyed by
+//! `(time, seq)`. The hot packet/flow/wire events are enum variants (no
+//! per-event allocation); arbitrary closures remain as the cold-path
+//! variant for experiment harnesses. Execution is single-threaded and
+//! fully deterministic: same-time events fire in schedule order, and the
+//! per-event transmit drain visits switches in index order, so link
 //! deliveries are totally ordered by `(time, switch_id, seq)`.
+//!
+//! A heap is enough: the flow engine batches arrivals per shard and the
+//! drain is lazy, so a Fig. 14 fabric keeps about ten events pending
+//! (DESIGN.md §14).
 //!
 //! With a multi-switch [`Topology`], a packet transmitted out a linked
 //! port becomes an rx event on the peer switch after the link's wire
@@ -18,14 +21,12 @@
 //! [`TransferMap`] — no per-hop name round-trip.
 
 use crate::flows::FlowRegistry;
-use crate::par::{ShardResult, WorkerPool};
 use crate::topo::{Endpoint, Link, Topology};
-use crate::wheel::TimingWheel;
 use mantis_telemetry::Telemetry;
 use rmt_sim::{Clock, Nanos, Phv, PortId, SharedSwitch, TransferMap, TxPacket};
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
 
 pub(crate) type EventFn = Box<dyn FnOnce(&mut Simulator)>;
@@ -37,12 +38,12 @@ pub(crate) enum EventKind {
     /// Cold path: an arbitrary boxed closure.
     Closure(EventFn),
     /// A packet on a fabric link: `phv` (frozen at transmit time) travels
-    /// from switch `src` to `dest`, entering at `port` at `arrival`.
+    /// from switch `src` to `dest`, entering at `port` at the event's
+    /// time.
     WireDeliver {
         src: usize,
         dest: usize,
         port: PortId,
-        arrival: Nanos,
         phv: Phv,
     },
     /// One TCP flow's next packet-send (`gen` guards stale reschedules).
@@ -57,65 +58,33 @@ pub(crate) enum EventKind {
     FlowWake { shard: u32 },
 }
 
-/// Verbatim replica of the pre-refactor event-queue entry — one boxed
-/// closure per event, totally ordered by `(time, seq)` in a
-/// `BinaryHeap<Reverse<_>>`. Kept so `legacy_compat` measures the old
-/// engine's real scheduling cost (deep-heap percolation over boxed
-/// closures) instead of letting the baseline ride the timing wheel.
-struct LegacyScheduled {
+/// Event-heap capacity reserved up front. A Fig. 14 fabric keeps about ten
+/// events pending; reserving headroom keeps the heap from growing (and
+/// allocating) mid-run the first time a burst sets a new high-water mark.
+const EVENTS_PREALLOC: usize = 64;
+
+/// One pending event. Ordered by `(at, seq)` alone; `seq` is unique and
+/// monotone in schedule order, so same-time events pop FIFO.
+struct Scheduled {
     at: Nanos,
     seq: u64,
-    f: EventFn,
+    kind: EventKind,
 }
 
-impl PartialEq for LegacyScheduled {
+impl PartialEq for Scheduled {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        (self.at, self.seq) == (other.at, other.seq)
     }
 }
-impl Eq for LegacyScheduled {}
-impl PartialOrd for LegacyScheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+impl Eq for Scheduled {}
+impl PartialOrd for Scheduled {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for LegacyScheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+impl Ord for Scheduled {
+    fn cmp(&self, other: &Self) -> Ordering {
         (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// Deterministic scaling accounting for the parallel drain.
-///
-/// The work unit is one packet served by a pump. `critical_units` is the
-/// epoch-by-epoch makespan: per drain, each worker's load is the sum of
-/// work over the switches it owns, and the makespan is the slowest
-/// worker's load (the whole drain's work when running serially). So
-/// `speedup() = work / makespan` is the parallel speedup the shard
-/// schedule achieves on ≥ `workers` cores — measured, not modelled, and
-/// byte-reproducible across runs and host core counts.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ParStats {
-    /// Worker count this simulator is configured for.
-    pub workers: usize,
-    /// Total drains executed (serial + parallel).
-    pub drains: u64,
-    /// Drains that went through the worker pool.
-    pub parallel_drains: u64,
-    /// Total packets served by pumps.
-    pub work_units: u64,
-    /// Sum over drains of the slowest worker's load.
-    pub critical_units: u64,
-}
-
-impl ParStats {
-    /// Critical-path speedup over a serial run (1.0 when serial or idle).
-    pub fn speedup(&self) -> f64 {
-        if self.critical_units == 0 {
-            1.0
-        } else {
-            self.work_units as f64 / self.critical_units as f64
-        }
     }
 }
 
@@ -124,7 +93,7 @@ pub struct Simulator {
     clock: Clock,
     switches: Vec<SharedSwitch>,
     topo: Topology,
-    wheel: TimingWheel<EventKind>,
+    events: BinaryHeap<Reverse<Scheduled>>,
     next_seq: u64,
     /// Per-switch registry of typed flow state (TCP/UDP/heartbeat/scale),
     /// indexed by the ids carried in flow [`EventKind`]s.
@@ -136,19 +105,12 @@ pub struct Simulator {
     peer_cache: Vec<Vec<Option<(Endpoint, Link)>>>,
     /// Lazily built `(src, dest)` → transfer map cache for wire
     /// deliveries.
-    xfer: Vec<Vec<Option<Arc<TransferMap>>>>,
-    /// One flag per switch: set when the switch may have queued packets,
-    /// cleared when a pump leaves its TM empty. A pump of an idle switch
-    /// has zero side effects, so drains skip non-busy switches — the
-    /// shared `Arc` lets pool workers read the flags (the epoch barrier's
-    /// channel handoff orders the coordinator's writes before them).
-    busy: Arc<Vec<AtomicBool>>,
-    /// Serial-drain mirror of `busy` as a bitmask (word `i/64`, bit
-    /// `i%64`): the drain visits only flagged switches in index order
-    /// instead of scanning the whole fabric after every event. May hold
-    /// stale extra bits after a parallel drain (workers clear `busy`
-    /// only); a spurious visit is a no-op pump, never a correctness
-    /// issue.
+    xfer: Vec<Vec<Option<Rc<TransferMap>>>>,
+    /// One bit per switch (word `i/64`, bit `i%64`): set when the switch
+    /// may have queued packets, cleared when a pump leaves its TM empty.
+    /// A pump of an idle switch has zero side effects, so the drain
+    /// visits only flagged switches, in index order, instead of scanning
+    /// the whole fabric after every event.
     dirty: Vec<u64>,
     /// Packets that exited the fabric (transmitted out an *unlinked*
     /// port), tagged with the switch that emitted them; kept until taken
@@ -167,9 +129,6 @@ pub struct Simulator {
     /// [`Simulator::set_legacy_compat`] so the whole fabric flips
     /// together. Not for normal use.
     legacy_compat: bool,
-    /// Compat mode's event queue: the pre-refactor `BinaryHeap` of boxed
-    /// closures. Empty (and never touched) outside `legacy_compat`.
-    legacy_heap: BinaryHeap<Reverse<LegacyScheduled>>,
     /// Reusable transmit-batch buffer for the serial drain; cleared and
     /// refilled per pump so the pump → route handoff never allocates at
     /// steady state.
@@ -182,16 +141,6 @@ pub struct Simulator {
     tx_count_per_switch: Vec<u64>,
     tx_bytes_per_switch: Vec<u64>,
     next_flow_id: u64,
-    /// Configured worker count (1 = serial drain, the default).
-    workers: usize,
-    /// Lazily spawned worker pool; dropped (threads joined) whenever the
-    /// worker count or shard assignment changes.
-    pool: Option<WorkerPool>,
-    /// Switch → worker map. `None` means the canonical `i % workers`;
-    /// tests scramble it to prove the barrier merge alone fixes the
-    /// output order.
-    assignment: Option<Vec<usize>>,
-    par_stats: ParStats,
 }
 
 impl std::fmt::Debug for Simulator {
@@ -199,7 +148,7 @@ impl std::fmt::Debug for Simulator {
         f.debug_struct("Simulator")
             .field("now", &self.clock.now())
             .field("switches", &self.switches.len())
-            .field("pending_events", &self.wheel.len())
+            .field("pending_events", &self.events.len())
             .finish()
     }
 }
@@ -241,12 +190,11 @@ impl Simulator {
             clock,
             switches,
             topo,
-            wheel: TimingWheel::new(),
+            events: BinaryHeap::with_capacity(EVENTS_PREALLOC),
             next_seq: 0,
             flows: FlowRegistry::default(),
             peer_cache,
             xfer: vec![vec![None; n]; n],
-            busy: Arc::new((0..n).map(|_| AtomicBool::new(true)).collect()),
             dirty: (0..n.div_ceil(64))
                 .map(|w| {
                     let bits = n - w * 64;
@@ -260,40 +208,19 @@ impl Simulator {
             tx_log: VecDeque::new(),
             tx_log_cap: 1 << 20,
             legacy_compat: false,
-            legacy_heap: BinaryHeap::new(),
             batch_scratch: Vec::new(),
             tx_count: 0,
             tx_bytes: 0,
             tx_count_per_switch: vec![0; n],
             tx_bytes_per_switch: vec![0; n],
             next_flow_id: 0,
-            workers: 1,
-            pool: None,
-            assignment: None,
-            par_stats: ParStats {
-                workers: 1,
-                ..ParStats::default()
-            },
         }
     }
 
-    /// Set the pump worker count. `1` (the default) keeps the historical
-    /// serial drain; `> 1` pumps switch shards on a fixed worker pool with
-    /// an epoch barrier per drain. Output is byte-identical either way —
-    /// see DESIGN.md §12. Values are clamped to `[1, num_switches]`
-    /// (a worker without a shard would just idle).
-    pub fn set_workers(&mut self, workers: usize) {
-        let w = workers.clamp(1, self.switches.len().max(1));
-        if w != self.workers {
-            self.pool = None;
-            self.workers = w;
-        }
-        self.par_stats.workers = w;
-    }
-
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
+    /// A no-op kept for callers written against the retired worker pool:
+    /// the simulator is single-threaded (DESIGN.md §12), so every worker
+    /// count runs the same serial drain.
+    pub fn set_workers(&mut self, _workers: usize) {}
 
     /// Enable (or disable) the pre-refactor cost-replication mode — see
     /// the `legacy_compat` field. Propagates to every switch so the
@@ -303,43 +230,6 @@ impl Simulator {
         for sw in &self.switches {
             sw.borrow_mut().set_legacy_compat(on);
         }
-    }
-
-    /// Replace the canonical `i % workers` shard assignment with a seeded
-    /// pseudo-random permutation. A test hook: the barrier merge is what
-    /// guarantees determinism, so any assignment must produce byte-
-    /// identical output — the stress suite proves it by scrambling.
-    pub fn scramble_assignment(&mut self, seed: u64) {
-        let n = self.switches.len();
-        let mut order: Vec<usize> = (0..n).collect();
-        // Deterministic Fisher–Yates off a splitmix-style stream.
-        let mut state = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        for i in (1..n).rev() {
-            let j = (next() % (i as u64 + 1)) as usize;
-            order.swap(i, j);
-        }
-        let w = self.workers.max(1);
-        let mut assignment = vec![0usize; n];
-        for (slot, &sw) in order.iter().enumerate() {
-            assignment[sw] = slot % w;
-        }
-        self.assignment = Some(assignment);
-        self.pool = None;
-    }
-
-    /// Scaling accounting accumulated so far (work units, per-epoch
-    /// makespan, derived speedup).
-    pub fn par_stats(&self) -> ParStats {
-        self.par_stats
     }
 
     /// The fabric's telemetry handle (disabled unless a testbed attached
@@ -395,16 +285,6 @@ impl Simulator {
     /// Schedule a one-shot event at absolute time `at` (events in the past
     /// run at the current time).
     pub fn schedule(&mut self, at: Nanos, f: impl FnOnce(&mut Simulator) + 'static) {
-        if self.legacy_compat {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.legacy_heap.push(Reverse(LegacyScheduled {
-                at,
-                seq,
-                f: Box::new(f),
-            }));
-            return;
-        }
         self.schedule_kind(at, EventKind::Closure(Box::new(f)));
     }
 
@@ -412,7 +292,7 @@ impl Simulator {
     pub(crate) fn schedule_kind(&mut self, at: Nanos, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.wheel.schedule(at, seq, kind);
+        self.events.push(Reverse(Scheduled { at, seq, kind }));
     }
 
     /// Schedule `f` every `interval` starting at `start`; stops when `f`
@@ -456,7 +336,7 @@ impl Simulator {
         loop {
             while let Some((at, kind)) = self.pop_due(until) {
                 self.clock.advance_to(at);
-                self.dispatch(kind);
+                self.dispatch(at, kind);
                 self.drain_tracked();
             }
             self.clock.advance_to(until);
@@ -470,43 +350,22 @@ impl Simulator {
         }
     }
 
-    /// Pop the earliest event due by `until` from whichever queue holds
-    /// it. Outside `legacy_compat` the heap is empty and this is a plain
-    /// wheel pop; in compat mode the wheel and the replica heap merge by
-    /// the shared `(time, seq)` order.
+    /// Pop the earliest event if it is due by `until`.
     fn pop_due(&mut self, until: Nanos) -> Option<(Nanos, EventKind)> {
-        if self.legacy_heap.is_empty() {
-            return self.wheel.pop_due(until).map(|(at, _seq, kind)| (at, kind));
+        if !self.has_due(until) {
+            return None;
         }
-        let heap_due = self
-            .legacy_heap
-            .peek()
-            .map(|Reverse(e)| (e.at, e.seq))
-            .filter(|&(at, _)| at <= until);
-        let take_heap = match (heap_due, self.wheel.peek_due(until)) {
-            (Some(h), Some(w)) => h < w,
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        if take_heap {
-            let Reverse(e) = self.legacy_heap.pop().expect("peeked");
-            Some((e.at, EventKind::Closure(e.f)))
-        } else {
-            self.wheel.pop_due(until).map(|(at, _seq, kind)| (at, kind))
-        }
+        let Reverse(e) = self.events.pop().expect("has_due saw a head");
+        Some((e.at, e.kind))
     }
 
-    /// Whether any event (wheel or compat heap) is due by `until`.
-    fn has_due(&mut self, until: Nanos) -> bool {
-        self.wheel.has_due(until)
-            || self
-                .legacy_heap
-                .peek()
-                .is_some_and(|Reverse(e)| e.at <= until)
+    /// Whether an event with `at <= until` is pending.
+    fn has_due(&self, until: Nanos) -> bool {
+        self.events.peek().is_some_and(|Reverse(e)| e.at <= until)
     }
 
-    /// Execute one event.
-    fn dispatch(&mut self, kind: EventKind) {
+    /// Execute one event scheduled for `at`.
+    fn dispatch(&mut self, at: Nanos, kind: EventKind) {
         match kind {
             EventKind::Closure(f) => {
                 // A closure may inject into any switch.
@@ -517,11 +376,10 @@ impl Simulator {
                 src,
                 dest,
                 port,
-                arrival,
                 phv,
             } => {
                 self.mark_busy(dest);
-                self.deliver_wire(src, dest, port, arrival, phv);
+                self.deliver_wire(src, dest, port, at, phv);
             }
             EventKind::TcpSend { flow, gen } => crate::flows::tcp_send_event(self, flow, gen),
             EventKind::TcpTick { flow, nominal } => {
@@ -583,7 +441,7 @@ impl Simulator {
 
     /// Build the `(src, dest)` transfer map on first use. Kept separate
     /// from the lookup so the identity fast path can consult the cached
-    /// map without cloning the `Arc` per delivery.
+    /// map without cloning the `Rc` per delivery.
     fn ensure_transfer_map(&mut self, src: usize, dest: usize) {
         if self.xfer[src][dest].is_none() {
             let map = if src == dest {
@@ -594,14 +452,11 @@ impl Simulator {
                 let d = self.switches[dest].borrow();
                 TransferMap::build(s.spec(), d.spec())
             };
-            self.xfer[src][dest] = Some(Arc::new(map));
+            self.xfer[src][dest] = Some(Rc::new(map));
         }
     }
 
     fn mark_all_busy(&mut self) {
-        for b in self.busy.iter() {
-            b.store(true, Ordering::Relaxed);
-        }
         let n = self.switches.len();
         for (w, word) in self.dirty.iter_mut().enumerate() {
             let bits = n - w * 64;
@@ -612,7 +467,6 @@ impl Simulator {
     /// Flag switch `i` as possibly having queued packets so the next
     /// drain pumps it.
     pub(crate) fn mark_busy(&mut self, i: usize) {
-        self.busy[i].store(true, Ordering::Relaxed);
         self.dirty[i / 64] |= 1u64 << (i % 64);
     }
 
@@ -626,11 +480,9 @@ impl Simulator {
     /// linked ports schedule an rx event on the peer switch after the wire
     /// delay, unlinked ports append to the transmit log.
     ///
-    /// Transmit batches are always *routed* in switch-index order — that
-    /// total `(time, switch_id, seq)` order on deliveries is the fabric
-    /// determinism contract. With `workers > 1` the *pumps* run
-    /// concurrently on the shard pool and everything merges at the epoch
-    /// barrier; output is byte-identical to the serial drain.
+    /// Switches are pumped and their transmit batches routed in
+    /// switch-index order — that total `(time, switch_id, seq)` order on
+    /// deliveries is the fabric determinism contract.
     pub fn drain_switch(&mut self) {
         // Public entry: callers may have injected into any switch since
         // the last drain, so the busy flags are stale.
@@ -646,16 +498,6 @@ impl Simulator {
             // The pre-refactor drain pumped every switch unconditionally.
             self.mark_all_busy();
         }
-        if self.workers > 1 && self.switches.len() > 1 {
-            self.drain_parallel();
-        } else {
-            self.drain_serial();
-        }
-    }
-
-    /// The historical single-threaded drain (also the workers=1 path).
-    fn drain_serial(&mut self) {
-        let mut drain_work: u64 = 0;
         // The scratch buffer moves out of `self` for the loop's duration
         // so filling it can overlap the switch borrow; its capacity is
         // retained across drains.
@@ -681,10 +523,8 @@ impl Simulator {
                         self.dirty[w] |= bit;
                         continue;
                     }
-                    drain_work += sw.pump();
-                    let queued = sw.tm_queued() > 0;
-                    self.busy[i].store(queued, Ordering::Relaxed);
-                    if queued {
+                    sw.pump();
+                    if sw.tm_queued() > 0 {
                         self.dirty[w] |= bit;
                     }
                     if self.legacy_compat {
@@ -706,62 +546,6 @@ impl Simulator {
             }
         }
         self.batch_scratch = batch;
-        self.par_stats.drains += 1;
-        self.par_stats.work_units += drain_work;
-        // One worker does everything: the critical path is all the work.
-        self.par_stats.critical_units += drain_work;
-    }
-
-    /// The epoch-barrier drain: pump shards on the worker pool, then merge
-    /// telemetry and route batches serially in switch-index order.
-    fn drain_parallel(&mut self) {
-        if !self.busy.iter().any(|b| b.load(Ordering::Relaxed)) {
-            // Nothing can transmit: the epoch would be a fleet of no-op
-            // pumps. Still counts as a drain for the scaling stats.
-            self.par_stats.drains += 1;
-            self.par_stats.parallel_drains += 1;
-            return;
-        }
-        if self.pool.is_none() {
-            self.pool = Some(self.build_pool());
-        }
-        let replies = self.pool.as_ref().expect("pool built").run_epoch();
-
-        let n = self.switches.len();
-        let mut per_switch: Vec<Option<ShardResult>> = (0..n).map(|_| None).collect();
-        let mut makespan: u64 = 0;
-        let mut total: u64 = 0;
-        for reply in replies {
-            let load: u64 = reply.iter().map(|r| r.work).sum();
-            makespan = makespan.max(load);
-            total += load;
-            for r in reply {
-                let slot = r.switch;
-                self.busy[slot].store(r.queued > 0, Ordering::Relaxed);
-                if r.queued > 0 {
-                    self.dirty[slot / 64] |= 1u64 << (slot % 64);
-                }
-                per_switch[slot] = Some(r);
-            }
-        }
-        self.par_stats.drains += 1;
-        self.par_stats.parallel_drains += 1;
-        self.par_stats.work_units += total;
-        self.par_stats.critical_units += makespan;
-
-        // Barrier merge, phase 1: fold staging telemetry in switch-index
-        // order — reproduces the serial recording order byte-for-byte.
-        let telemetry = self.telemetry();
-        for r in per_switch.iter().flatten() {
-            telemetry.merge_from(&r.staging);
-        }
-        // Phase 2: route cross-shard effects (wire deliveries, fabric
-        // exits) in the same canonical order.
-        for (i, slot) in per_switch.iter_mut().enumerate() {
-            if let Some(mut r) = slot.take() {
-                self.route_batch(i, &mut r.batch);
-            }
-        }
     }
 
     /// Deliver one switch's transmit batch: linked ports become rx events
@@ -812,7 +596,6 @@ impl Simulator {
                             src: i,
                             dest: peer.switch,
                             port: peer.port,
-                            arrival,
                             phv: pkt.phv,
                         },
                     );
@@ -834,31 +617,9 @@ impl Simulator {
         }
     }
 
-    /// Build the worker pool from the current assignment (canonical
-    /// `i % workers` unless scrambled).
-    fn build_pool(&self) -> WorkerPool {
-        let n = self.switches.len();
-        let w = self.workers;
-        let mut shards: Vec<Vec<(usize, SharedSwitch)>> = (0..w).map(|_| Vec::new()).collect();
-        for i in 0..n {
-            let owner = match &self.assignment {
-                Some(a) => a[i] % w,
-                None => i % w,
-            };
-            shards[owner].push((i, self.switches[i].clone()));
-        }
-        WorkerPool::new(shards, self.busy.clone())
-    }
-
-    /// Number of currently occupied timing-wheel slots (a telemetry gauge
-    /// for scale scenarios; cheap — counts set occupancy bits).
-    pub fn wheel_slots(&self) -> usize {
-        self.wheel.occupied_slots()
-    }
-
     /// Pending (scheduled, not yet executed) event count.
     pub fn pending_events(&self) -> usize {
-        self.wheel.len() + self.legacy_heap.len()
+        self.events.len()
     }
 
     /// Heap bytes parked across every switch's PHV freelist (the packet
@@ -1088,69 +849,6 @@ control ingress { apply(t); }
         }
         // The second hop can only start after the 5 µs wire delay.
         assert!(pkt.time > 5_000, "delivery at {} ns", pkt.time);
-    }
-
-    fn pair_fingerprint(
-        workers: usize,
-        scramble: Option<u64>,
-    ) -> (Vec<(usize, u64, u16)>, u64, u64, ParStats) {
-        let mut sim = mk_pair(700);
-        sim.set_workers(workers);
-        if let Some(seed) = scramble {
-            sim.scramble_assignment(seed);
-        }
-        for i in 0..20u64 {
-            sim.schedule(i * 777, move |s| {
-                s.switch_at(0).borrow_mut().inject(
-                    &PacketDesc::new(0)
-                        .field("ip", "src", u128::from(i))
-                        .payload(64),
-                );
-            });
-        }
-        sim.run_until(3_000_000);
-        let fingerprint: Vec<(usize, u64, u16)> = sim
-            .take_tx_tagged()
-            .iter()
-            .map(|(sw, p)| (*sw, p.time, p.port))
-            .collect();
-        (fingerprint, sim.tx_count, sim.tx_bytes, sim.par_stats())
-    }
-
-    #[test]
-    fn parallel_drain_matches_serial_exactly() {
-        let (serial_fp, serial_count, serial_bytes, serial_stats) = pair_fingerprint(1, None);
-        let (par_fp, par_count, par_bytes, par_stats) = pair_fingerprint(2, None);
-        assert_eq!(serial_fp, par_fp);
-        assert_eq!(serial_count, par_count);
-        assert_eq!(serial_bytes, par_bytes);
-        assert!(par_stats.parallel_drains > 0, "pool path must have run");
-        assert_eq!(serial_stats.parallel_drains, 0);
-        // Same total work observed regardless of execution mode.
-        assert_eq!(serial_stats.work_units, par_stats.work_units);
-        assert!(par_stats.critical_units <= par_stats.work_units);
-    }
-
-    #[test]
-    fn scrambled_assignment_does_not_change_output() {
-        let (base_fp, base_count, _, _) = pair_fingerprint(2, None);
-        for seed in [1u64, 7, 42] {
-            let (fp, count, _, _) = pair_fingerprint(2, Some(seed));
-            assert_eq!(base_fp, fp, "seed {seed} changed the output");
-            assert_eq!(base_count, count);
-        }
-    }
-
-    #[test]
-    fn worker_count_clamps_to_switch_count() {
-        let mut sim = mk();
-        sim.set_workers(8);
-        assert_eq!(sim.workers(), 1, "single switch cannot shard");
-        let mut pair = mk_pair(700);
-        pair.set_workers(64);
-        assert_eq!(pair.workers(), 2);
-        pair.set_workers(0);
-        assert_eq!(pair.workers(), 1);
     }
 
     #[test]

@@ -2,9 +2,19 @@
 
 use p4_ast::{HashAlgorithm, Value};
 
-/// Serialize field values to the byte string a hardware hash unit would see
-/// (each field big-endian, padded to whole bytes).
-pub fn field_bytes(inputs: &[Value]) -> Vec<u8> {
+/// The byte string a hardware hash unit sees for `inputs` (each field
+/// big-endian, padded to whole bytes), streamed without allocating.
+fn field_byte_iter(inputs: &[Value]) -> impl Iterator<Item = u8> + '_ {
+    inputs.iter().flat_map(|v| {
+        let skip = 16 - v.byte_width();
+        v.bits().to_be_bytes().into_iter().skip(skip)
+    })
+}
+
+/// [`field_byte_iter`] collected into a buffer — the test oracle for the
+/// streaming path.
+#[cfg(test)]
+fn field_bytes(inputs: &[Value]) -> Vec<u8> {
     let mut out = Vec::new();
     for v in inputs {
         let n = v.byte_width();
@@ -15,9 +25,9 @@ pub fn field_bytes(inputs: &[Value]) -> Vec<u8> {
 }
 
 /// CRC-16/ARC (poly 0x8005 reflected = 0xA001), the P4-14 `crc16` default.
-pub fn crc16(data: &[u8]) -> u16 {
+pub fn crc16(data: impl IntoIterator<Item = u8>) -> u16 {
     let mut crc: u16 = 0;
-    for &b in data {
+    for b in data {
         crc ^= u16::from(b);
         for _ in 0..8 {
             if crc & 1 != 0 {
@@ -31,9 +41,9 @@ pub fn crc16(data: &[u8]) -> u16 {
 }
 
 /// CRC-32 (IEEE 802.3, reflected poly 0xEDB88320).
-pub fn crc32(data: &[u8]) -> u32 {
+pub fn crc32(data: impl IntoIterator<Item = u8>) -> u32 {
     let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in data {
+    for b in data {
         crc ^= u32::from(b);
         for _ in 0..8 {
             if crc & 1 != 0 {
@@ -48,9 +58,9 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 /// A xorshift-style mixer — models an alternative, differently-polarizing
 /// hash strategy for the ECMP use case.
-pub fn xor_mix(data: &[u8]) -> u64 {
+pub fn xor_mix(data: impl IntoIterator<Item = u8>) -> u64 {
     let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
-    for &b in data {
+    for b in data {
         h ^= u64::from(b);
         h ^= h << 13;
         h ^= h >> 7;
@@ -71,9 +81,9 @@ pub fn identity(inputs: &[Value]) -> u128 {
 /// Evaluate a hash over field values, truncated to `output_width` bits.
 pub fn compute(alg: HashAlgorithm, inputs: &[Value], output_width: u16) -> Value {
     let raw: u128 = match alg {
-        HashAlgorithm::Crc16 => u128::from(crc16(&field_bytes(inputs))),
-        HashAlgorithm::Crc32 => u128::from(crc32(&field_bytes(inputs))),
-        HashAlgorithm::XorMix => u128::from(xor_mix(&field_bytes(inputs))),
+        HashAlgorithm::Crc16 => u128::from(crc16(field_byte_iter(inputs))),
+        HashAlgorithm::Crc32 => u128::from(crc32(field_byte_iter(inputs))),
+        HashAlgorithm::XorMix => u128::from(xor_mix(field_byte_iter(inputs))),
         HashAlgorithm::Identity => identity(inputs),
     };
     Value::new(raw, output_width.max(1))
@@ -86,19 +96,53 @@ mod tests {
     #[test]
     fn crc16_known_vector() {
         // CRC-16/ARC("123456789") = 0xBB3D
-        assert_eq!(crc16(b"123456789"), 0xBB3D);
+        assert_eq!(crc16(*b"123456789"), 0xBB3D);
     }
 
     #[test]
     fn crc32_known_vector() {
         // CRC-32("123456789") = 0xCBF43926
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(*b"123456789"), 0xCBF4_3926);
     }
 
     #[test]
     fn field_bytes_big_endian_padded() {
         let v = vec![Value::new(0x0102, 16), Value::new(0x3, 4)];
         assert_eq!(field_bytes(&v), vec![0x01, 0x02, 0x03]);
+    }
+
+    #[test]
+    fn streamed_bytes_match_the_buffered_oracle() {
+        let v = [
+            Value::new(0x1, 1),
+            Value::new(0x1ff, 9),
+            Value::new(0xABCD, 16),
+            Value::new(0x12_3456, 24),
+            Value::new(0xDEAD_BEEF, 32),
+            Value::new(0x0102_0304_0506, 48),
+            Value::new(u128::MAX, 128),
+        ];
+        for n in 0..=v.len() {
+            let inputs = &v[..n];
+            let oracle = field_bytes(inputs);
+            assert_eq!(field_byte_iter(inputs).collect::<Vec<_>>(), oracle);
+            for (alg, want) in [
+                (
+                    HashAlgorithm::Crc16,
+                    u128::from(crc16(oracle.iter().copied())),
+                ),
+                (
+                    HashAlgorithm::Crc32,
+                    u128::from(crc32(oracle.iter().copied())),
+                ),
+                (
+                    HashAlgorithm::XorMix,
+                    u128::from(xor_mix(oracle.iter().copied())),
+                ),
+            ] {
+                assert_eq!(compute(alg, inputs, 64).bits(), want);
+            }
+        }
     }
 
     #[test]
@@ -127,7 +171,7 @@ mod tests {
 
     #[test]
     fn xor_mix_is_deterministic() {
-        assert_eq!(xor_mix(b"abc"), xor_mix(b"abc"));
-        assert_ne!(xor_mix(b"abc"), xor_mix(b"abd"));
+        assert_eq!(xor_mix(*b"abc"), xor_mix(*b"abc"));
+        assert_ne!(xor_mix(*b"abc"), xor_mix(*b"abd"));
     }
 }

@@ -853,23 +853,19 @@ impl Switch {
 
     /// Serve all port queues up to the current virtual time: dequeue, run
     /// egress, transmit (or recirculate). Call after advancing the clock.
-    /// Returns the number of packets served (the parallel executor's work
-    /// unit for shard accounting).
     ///
     /// Pumping is pipe-major — but since ports are assigned to pipes in
     /// contiguous front-panel blocks (`pipe = port / ports_per_pipe`),
     /// pipe-major order *is* global port order, so this is byte-identical
     /// to the historical single loop over all ports.
-    pub fn pump(&mut self) -> u64 {
+    pub fn pump(&mut self) {
         // A full pump sees every blocked queue head, so the readiness
         // bound can be recomputed exactly (enqueues during the pump —
         // recirculation — lower it again via `enqueue`).
         self.next_ready = Nanos::MAX;
-        let mut served = 0;
         for pipe in 0..self.config.num_pipes {
-            served += self.pump_pipe_inner(pipe);
+            self.pump_pipe(pipe);
         }
-        served
     }
 
     /// Earliest virtual time at which a pump could serve a queued packet
@@ -884,19 +880,6 @@ impl Switch {
         self.clock.now() >= self.next_ready
     }
 
-    /// Serve one pipe's port queues up to the current virtual time. This is
-    /// the sub-switch shard granularity of the parallel runtime: each
-    /// pipe's queues, ports, and egress state are disjoint, so pipes of one
-    /// switch could be pumped independently (work accounting treats them as
-    /// separate units even though execution locks whole switches).
-    pub fn pump_pipe(&mut self, pipe_idx: u16) -> u64 {
-        // A single-pipe pump leaves the other pipes' queue heads unseen,
-        // so the readiness bound cannot be trusted afterwards: drop it to
-        // "always ready" (drains then never skip this switch).
-        self.next_ready = 0;
-        self.pump_pipe_inner(pipe_idx)
-    }
-
     /// Latency from enqueue to the first wire byte (egress pipeline +
     /// fixed overheads; the ingress half happens before enqueue).
     fn egress_pipe_ns(&self) -> Nanos {
@@ -904,22 +887,16 @@ impl Switch {
         t.fixed / 2 + u64::from(self.spec.egress_stages) * t.per_stage
     }
 
-    fn pump_pipe_inner(&mut self, pipe_idx: u16) -> u64 {
+    /// Serve one pipe's port queues up to the current virtual time.
+    fn pump_pipe(&mut self, pipe_idx: u16) {
         let now = self.clock.now();
         let pipe_ns = self.egress_pipe_ns();
-        let mut served: u64 = 0;
         let lo = pipe_idx * self.ports_per_pipe;
         let hi = (lo + self.ports_per_pipe).min(self.config.num_ports);
         let intr = self.spec.intr_ids().expect("intrinsic field");
-        for port in lo..hi {
-            // Idle ports (no queued packets) are invisible to a pump: no
-            // telemetry, no state changes — skipping them is byte-exact.
-            // The pre-refactor pump walked every port's queue; compat
-            // keeps that scan.
-            if !self.compat && self.queue_mask[usize::from(port / 64)] & (1u64 << (port % 64)) == 0
-            {
-                continue;
-            }
+        let mut next = lo;
+        while let Some(port) = self.next_pump_port(next, hi) {
+            next = port + 1;
             let (pipe, local) = match self.port_slot(port) {
                 Some(slot) => slot,
                 None => continue,
@@ -942,7 +919,6 @@ impl Switch {
                 let Some(Queued { phv, bytes, .. }) = q.packets.pop_front() else {
                     break;
                 };
-                served += 1;
                 self.queued_pkts -= 1;
                 q.depth_bytes -= bytes;
                 let wire_ns = if self.compat {
@@ -1008,7 +984,33 @@ impl Switch {
                 ));
             }
         }
-        served
+    }
+
+    /// The first port in `from..hi` a pump must visit. Idle ports (no
+    /// queued packets) are invisible to a pump: no telemetry, no state
+    /// changes — so the scan jumps between set bits of `queue_mask`,
+    /// reading it live. The pre-refactor pump walked every port's queue;
+    /// compat keeps that scan.
+    fn next_pump_port(&self, from: PortId, hi: PortId) -> Option<PortId> {
+        if from >= hi {
+            return None;
+        }
+        if self.compat {
+            return Some(from);
+        }
+        let mut w = usize::from(from / 64);
+        let mut word = self.queue_mask[w] & (!0u64 << (from % 64));
+        loop {
+            if word != 0 {
+                let port = (w * 64) as PortId + word.trailing_zeros() as PortId;
+                return (port < hi).then_some(port);
+            }
+            w += 1;
+            if w * 64 >= usize::from(hi) {
+                return None;
+            }
+            word = self.queue_mask[w];
+        }
     }
 
     /// Wire serialization time for `bytes` at the port rate (saturating:

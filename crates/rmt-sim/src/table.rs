@@ -39,7 +39,7 @@
 //! scan with the `(prefix, priority, Reverse(seq))` ordering (property-
 //! tested in `tests/`), and nothing about the virtual-clock cost model
 //! changes. Lookups also reuse a per-table scratch buffer instead of
-//! allocating per packet, and hits hand out `Arc<[Value]>` action data
+//! allocating per packet, and hits hand out `Rc<[Value]>` action data
 //! instead of cloning a `Vec`.
 
 use crate::phv::Phv;
@@ -48,7 +48,7 @@ use p4_ast::{MatchKind, Value};
 use std::collections::HashMap as StdHashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Multiply-rotate hasher (the rustc/Firefox "Fx" construction) for the
 /// match indices. Table keys are short, well-distributed bit strings, and
@@ -166,7 +166,7 @@ pub struct Entry {
     pub key: Vec<KeyField>,
     pub priority: u32,
     pub action: ActionId,
-    pub action_data: Arc<[Value]>,
+    pub action_data: Rc<[Value]>,
     /// Insertion sequence for deterministic tie-breaks.
     seq: u64,
 }
@@ -301,7 +301,7 @@ pub struct Table {
     /// Entries in insertion order (the driver-visible view).
     entries: Vec<Entry>,
     index: Index,
-    default_action: Option<(ActionId, Arc<[Value]>)>,
+    default_action: Option<(ActionId, Rc<[Value]>)>,
     next_handle: u64,
     next_seq: u64,
     capacity: u32,
@@ -320,11 +320,11 @@ pub enum Lookup {
     Hit {
         handle: EntryHandle,
         action: ActionId,
-        action_data: Arc<[Value]>,
+        action_data: Rc<[Value]>,
     },
     Default {
         action: ActionId,
-        action_data: Arc<[Value]>,
+        action_data: Rc<[Value]>,
     },
     Miss,
 }
@@ -348,7 +348,7 @@ impl Table {
             default_action: spec
                 .default_action
                 .as_ref()
-                .map(|(a, d)| (*a, Arc::from(d.as_slice()))),
+                .map(|(a, d)| (*a, Rc::from(d.as_slice()))),
             next_handle: 1,
             next_seq: 0,
             capacity: spec.size,
@@ -375,12 +375,12 @@ impl Table {
         self.entries.iter()
     }
 
-    pub fn default_action(&self) -> Option<&(ActionId, Arc<[Value]>)> {
+    pub fn default_action(&self) -> Option<&(ActionId, Rc<[Value]>)> {
         self.default_action.as_ref()
     }
 
     pub fn set_default(&mut self, action: ActionId, data: Vec<Value>) {
-        self.default_action = Some((action, Arc::from(data)));
+        self.default_action = Some((action, Rc::from(data)));
     }
 
     fn validate_key(&self, spec: &TableSpec, key: &[KeyField]) -> Result<(), TableError> {
@@ -489,7 +489,7 @@ impl Table {
             key,
             priority,
             action,
-            action_data: Arc::from(action_data),
+            action_data: Rc::from(action_data),
             seq,
         });
         Ok(())
@@ -512,7 +512,7 @@ impl Table {
             .find(|e| e.handle == handle)
             .ok_or(TableError::UnknownHandle(handle))?;
         e.action = action;
-        e.action_data = Arc::from(action_data);
+        e.action_data = Rc::from(action_data);
         Ok(())
     }
 
@@ -595,7 +595,7 @@ impl Table {
             return Lookup::Hit {
                 handle: e.handle,
                 action: e.action,
-                action_data: Arc::clone(&e.action_data),
+                action_data: Rc::clone(&e.action_data),
             };
         }
         self.default_lookup()
@@ -605,7 +605,7 @@ impl Table {
         match &self.default_action {
             Some((a, d)) => Lookup::Default {
                 action: *a,
-                action_data: Arc::clone(d),
+                action_data: Rc::clone(d),
             },
             None => Lookup::Miss,
         }
@@ -664,7 +664,7 @@ impl Table {
                 return Lookup::Hit {
                     handle: e.handle,
                     action: e.action,
-                    action_data: Arc::clone(&e.action_data),
+                    action_data: Rc::clone(&e.action_data),
                 };
             }
             return self.default_lookup();
@@ -697,7 +697,7 @@ impl Table {
             return Lookup::Hit {
                 handle: e.handle,
                 action: e.action,
-                action_data: Arc::clone(&e.action_data),
+                action_data: Rc::clone(&e.action_data),
             };
         }
         self.default_lookup()

@@ -3,7 +3,7 @@
 //!
 //! A counting global allocator wraps the system one; a small scale block
 //! runs on a routed leaf–spine fabric, split into a warm-up half (pools
-//! fill, wheel slots and scratch buffers reach their high-water marks)
+//! fill, the event heap and scratch buffers reach their high-water marks)
 //! and a measured half. The measured half must inject thousands of
 //! packets without a single new allocation: templates write into pooled
 //! PHVs, wire hops move buffers instead of copying, transmit batches
@@ -14,11 +14,19 @@
 //! registry by lazily interned metric ids, and trace events carry static
 //! names, so once each metric has been recorded and the event ring is
 //! full a hop neither formats a name nor allocates an event.
+//!
+//! Hash units stream their input bytes too: a switch running the ECMP use
+//! case hashes every packet (CRC-16 over its malleable field list) without
+//! allocating.
 
+use mantis::apps::programs::ECMP_P4R;
 use mantis::netsim::{spawn_scale_flows, ScaleConfig, ScaleHost, Simulator, Topology, HOST_PORTS};
 use mantis::p4_ast::Value;
-use mantis::rmt_sim::{switch_from_source, KeyField, PortId};
-use mantis::{Clock, SharedSwitch, SwitchConfig, Telemetry};
+use mantis::rmt_sim::{load, switch_from_source, KeyField, PacketDesc, PacketTemplate, PortId};
+use mantis::{
+    compile_source, Clock, CompilerOptions, CostModel, MantisAgent, SharedSwitch, Switch,
+    SwitchConfig, Telemetry,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -139,7 +147,7 @@ fn assert_steady_state_does_not_allocate(telemetry: bool) {
     let planned = spawn_scale_flows(&mut sim, &cfg, &hosts).expect("flows spawn");
     assert!(planned > 10_000, "block too small to exercise steady state");
 
-    // Warm-up half: freelists, wheel buckets, queue deques, and batch
+    // Warm-up half: freelists, the event heap, queue deques, and batch
     // scratch all reach steady capacity.
     sim.run_until(cfg.duration_ns / 2);
 
@@ -172,4 +180,59 @@ fn steady_state_packet_path_does_not_allocate() {
 #[test]
 fn steady_state_packet_path_with_telemetry_does_not_allocate() {
     assert_steady_state_does_not_allocate(true);
+}
+
+#[test]
+fn ecmp_hash_path_does_not_allocate() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let comp = compile_source(ECMP_P4R, &CompilerOptions::default()).expect("ECMP compiles");
+    let clock = Clock::new();
+    let spec = load(&comp.p4).expect("ECMP loads");
+    let switch = SharedSwitch::new(Switch::new(spec, SwitchConfig::default(), clock.clone()));
+    // The prologue installs the malleable init entries the hash reads.
+    let mut agent = MantisAgent::new(switch.clone(), &comp, CostModel::default());
+    agent.prologue().expect("prologue");
+
+    let templates: Vec<PacketTemplate> = (0..64u128)
+        .map(|i| {
+            let desc = PacketDesc::new(0)
+                .field("ethernet", "ether_type", 0x0800)
+                .field("ipv4", "src_addr", 0x0a00_0000 + i)
+                .field("ipv4", "dst_addr", 0x0a01_0000 + 7 * i)
+                .field("ipv4", "protocol", 6)
+                .field("l4", "sport", 1000 + i)
+                .field("l4", "dport", 80)
+                .payload(200);
+            PacketTemplate::compile(&desc, switch.borrow().spec()).expect("template")
+        })
+        .collect();
+    let mut batch = Vec::new();
+    let mut ports = [0u64; 8];
+    let mut send = |n: usize, ports: &mut [u64; 8]| {
+        let mut sw = switch.borrow_mut();
+        for i in 0..n {
+            clock.advance(1_000);
+            assert!(sw.inject_template(&templates[i % templates.len()]));
+            sw.pump();
+            sw.drain_transmitted_with_len(&mut batch);
+            for (pkt, _) in batch.drain(..) {
+                ports[usize::from(pkt.port) % 8] += 1;
+                sw.recycle_phv(pkt.phv);
+            }
+        }
+    };
+    // Warm-up: the PHV pool, queue deques and the batch buffer fill.
+    send(2_000, &mut ports);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    send(4_000, &mut ports);
+    let after = ALLOCS.load(Ordering::Relaxed);
+
+    let used = ports[4..].iter().filter(|&&n| n > 0).count();
+    assert!(used >= 2, "hash never spread traffic: {ports:?}");
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state ECMP hashing allocated {} times",
+        after - before
+    );
 }
