@@ -280,6 +280,7 @@ fn bucket_value(index: usize) -> u64 {
 }
 
 impl Histogram {
+    #[inline]
     pub fn record(&mut self, v: u64) {
         self.counts[bucket_index(v)] += 1;
         self.count += 1;
@@ -443,16 +444,18 @@ impl Inner {
         self.ids.get(name).map(|id| &self.slots[id.0 as usize])
     }
 
+    /// Append `ev` to the ring, evicting the oldest event when full. Each
+    /// event that does not survive counts as exactly one drop.
     fn push(&mut self, ev: Event) {
+        if self.config.trace_capacity == 0 {
+            self.events_dropped += 1;
+            return;
+        }
         if self.events.len() >= self.config.trace_capacity {
             self.events.pop_front();
             self.events_dropped += 1;
         }
-        if self.config.trace_capacity > 0 {
-            self.events.push_back(ev);
-        } else {
-            self.events_dropped += 1;
-        }
+        self.events.push_back(ev);
     }
 }
 
@@ -480,15 +483,18 @@ impl Recorder<'_> {
         *slot.get_or_insert_with(|| self.0.intern(name().as_ref()))
     }
 
+    #[inline]
     pub fn counter_add(&mut self, id: MetricId, delta: i128) {
         let c = &mut self.0.slot(id).counter;
         *c = Some(c.unwrap_or(0) + delta);
     }
 
+    #[inline]
     pub fn gauge_set(&mut self, id: MetricId, value: i128) {
         self.0.slot(id).gauge = Some(value);
     }
 
+    #[inline]
     pub fn hist_record(&mut self, id: MetricId, value: u64) {
         self.0
             .slot(id)
@@ -500,6 +506,7 @@ impl Recorder<'_> {
     /// A complete span: a begin event at `begin`, then an end event at
     /// `end` (the pair [`Telemetry::span_begin`] / [`Telemetry::span_end`]
     /// would record).
+    #[inline]
     pub fn span(&mut self, scope: Scope, name: &'static str, begin: Nanos, end: Nanos) {
         for (t, phase) in [(begin, Phase::Begin), (end, Phase::End)] {
             self.0.push(Event {
@@ -595,6 +602,7 @@ impl Telemetry {
 
     /// Lock the registry for recording by id, or `None` when recording
     /// is off (a disabled handle never takes its lock).
+    #[inline]
     pub fn recorder(&self) -> Option<Recorder<'_>> {
         self.enabled.then(|| Recorder(self.lock()))
     }
@@ -694,6 +702,7 @@ impl Telemetry {
         }
     }
 
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled
     }
@@ -1038,6 +1047,22 @@ mod tests {
         let trace = tel.chrome_trace_json();
         assert!(!trace.contains("\"name\":\"a\""));
         assert!(trace.contains("\"name\":\"c\""));
+    }
+
+    #[test]
+    fn zero_capacity_ring_counts_each_event_once() {
+        let tel = Telemetry::new(TelemetryConfig {
+            trace_capacity: 0,
+            enabled: true,
+        });
+        for t in 0..3 {
+            tel.recorder().unwrap().span(Scope::Agent, "s", t, t + 1);
+        }
+        tel.instant(Scope::Agent, "i", 9, &[]);
+        let snap = tel.snapshot();
+        assert_eq!(snap.events_buffered, 0);
+        // Three spans are six events (begin + end), plus one instant.
+        assert_eq!(snap.events_dropped, 7);
     }
 
     #[test]

@@ -21,12 +21,17 @@ pub struct Clock {
     now: Rc<Cell<Nanos>>,
 }
 
+// Read and advanced on every event and packet hop from other crates:
+// every method stays `#[inline]` (DESIGN.md §7, "Cross-crate inlining").
+#[warn(clippy::missing_inline_in_public_items)]
 impl Clock {
+    #[inline]
     pub fn new() -> Self {
         Clock::default()
     }
 
     /// Current virtual time.
+    #[inline]
     pub fn now(&self) -> Nanos {
         self.now.get()
     }
@@ -34,6 +39,7 @@ impl Clock {
     /// Advance time by `delta` nanoseconds, returning the new time.
     /// Saturating: virtual time pins at the u64 horizon rather than
     /// wrapping back to zero (which would break clock monotonicity).
+    #[inline]
     pub fn advance(&self, delta: Nanos) -> Nanos {
         let t = self.now.get().saturating_add(delta);
         self.now.set(t);
@@ -42,6 +48,7 @@ impl Clock {
 
     /// Move time forward to `t`. Ignored if `t` is in the past — the clock
     /// is monotonic.
+    #[inline]
     pub fn advance_to(&self, t: Nanos) {
         if t > self.now.get() {
             self.now.set(t);

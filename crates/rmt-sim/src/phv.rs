@@ -30,31 +30,37 @@ impl Phv {
         }
     }
 
+    #[inline]
     pub fn get(&self, id: FieldId) -> Value {
         self.values[id.0 as usize]
     }
 
     /// Store `v`, truncating/extending to the container width.
+    #[inline]
     pub fn set(&mut self, id: FieldId, v: Value) {
         let w = self.values[id.0 as usize].width();
         self.values[id.0 as usize] = v.resize(w);
     }
 
+    #[inline]
     pub fn is_valid(&self, header_idx: usize) -> bool {
         self.valid[header_idx]
     }
 
+    #[inline]
     pub fn set_valid(&mut self, header_idx: usize, valid: bool) {
         self.valid[header_idx] = valid;
     }
 
     /// Read a field as `u64` (hot-path form of `get(..).as_u64()`).
+    #[inline]
     pub fn get_u64(&self, id: FieldId) -> u64 {
         self.get(id).as_u64()
     }
 
     /// Write a `u64`, truncating to the container width (the id-resolved
     /// form of [`Phv::set_intr`]).
+    #[inline]
     pub fn set_u64(&mut self, id: FieldId, v: u64) {
         self.set(id, Value::new(u128::from(v), 64));
     }
@@ -127,6 +133,7 @@ impl Phv {
     /// produces: [`TransferMap::apply`] into a fresh PHV copies the wire
     /// headers and nothing else, so moving the buffer and wiping the
     /// metadata is byte-equivalent — without the copy.
+    #[inline]
     pub fn reset_metadata(&mut self, spec: &DataPlaneSpec) {
         for h in spec.headers.iter().filter(|h| h.is_metadata) {
             for f in &h.fields {
@@ -142,6 +149,7 @@ impl Phv {
     }
 
     /// Total frame length in bytes: parsed+valid headers plus payload.
+    #[inline]
     pub fn frame_len(&self, spec: &DataPlaneSpec) -> u32 {
         let mut bits = 0u32;
         for (i, &hb) in spec.wire_bits().iter().enumerate() {
@@ -272,6 +280,7 @@ impl PhvPool {
     }
 
     /// Return a PHV to the freelist (dropped if the pool is full).
+    #[inline]
     pub fn put(&mut self, phv: Phv) {
         if self.free.len() < self.cap {
             self.free.push(phv);
@@ -334,10 +343,12 @@ impl PacketTemplate {
         })
     }
 
+    #[inline]
     pub fn port(&self) -> PortId {
         self.port
     }
 
+    #[inline]
     pub fn set_port(&mut self, port: PortId) {
         self.port = port;
     }
@@ -348,6 +359,7 @@ impl PacketTemplate {
 
     /// Overwrite the value of the `slot`-th compiled field (slots follow
     /// the order fields were added to the source [`PacketDesc`]).
+    #[inline]
     pub fn set_value(&mut self, slot: usize, value: u128) {
         self.fields[slot].1 = value;
     }
@@ -449,6 +461,7 @@ impl TransferMap {
 
     /// Whether this transfer is between structurally identical specs (see
     /// the `identity` field).
+    #[inline]
     pub fn is_identity(&self) -> bool {
         self.identity
     }

@@ -29,12 +29,14 @@ impl SharedSwitch {
 
     /// Shared access to the switch. Panics while a
     /// [`SharedSwitch::borrow_mut`] guard is alive.
+    #[inline]
     pub fn borrow(&self) -> Ref<'_, Switch> {
         self.inner.borrow()
     }
 
     /// Exclusive access to the switch. Panics while any other guard is
     /// alive.
+    #[inline]
     pub fn borrow_mut(&self) -> RefMut<'_, Switch> {
         self.inner.borrow_mut()
     }

@@ -363,6 +363,7 @@ impl DataPlaneSpec {
             .map(|pos| self.field_index[pos].2)
     }
 
+    #[inline]
     pub fn intr_ids(&self) -> Option<IntrIds> {
         self.intr
     }
@@ -392,6 +393,7 @@ impl DataPlaneSpec {
     }
 
     /// Wire bit width of each header (0 for metadata headers).
+    #[inline]
     pub fn wire_bits(&self) -> &[u32] {
         &self.wire_bits
     }

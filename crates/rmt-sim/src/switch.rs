@@ -474,6 +474,7 @@ impl Switch {
         let egress_plan = bucket_by_stage(flatten(&spec, &spec.egress), spec.egress_stages);
         let mask_words = usize::from(config.num_ports.div_ceil(64));
         let hop_metrics = HopMetrics::new(num_pipes, config.num_ports);
+        let wire_memo = (0, wire_ns(0, config.port_rate_bps));
         Switch {
             spec,
             config,
@@ -495,7 +496,7 @@ impl Switch {
             queued_pkts: 0,
             queue_mask: vec![0u64; mask_words],
             next_ready: 0,
-            wire_memo: (0, 0),
+            wire_memo,
             compat: false,
         }
     }
@@ -574,6 +575,7 @@ impl Switch {
         self.fabric_index
     }
 
+    #[inline]
     pub fn spec(&self) -> &DataPlaneSpec {
         &self.spec
     }
@@ -618,16 +620,19 @@ impl Switch {
     }
 
     /// Take a fresh PHV from this switch's freelist (shaped for its spec).
+    #[inline]
     pub fn pool_take(&mut self) -> Phv {
         self.phv_pool.take(&self.spec)
     }
 
     /// Return a PHV to this switch's freelist once the packet is done.
+    #[inline]
     pub fn recycle_phv(&mut self, phv: Phv) {
         self.phv_pool.put(phv);
     }
 
     /// Parked buffers in the PHV freelist.
+    #[inline]
     pub fn pool_parked(&self) -> usize {
         self.phv_pool.len()
     }
@@ -646,6 +651,7 @@ impl Switch {
     /// Packets currently waiting in TM queues across all pipes. A switch
     /// with zero queued packets is guaranteed to transmit nothing from a
     /// pump, which is what lets the drain loop skip it entirely.
+    #[inline]
     pub fn tm_queued(&self) -> u64 {
         self.queued_pkts
     }
@@ -871,11 +877,13 @@ impl Switch {
     /// Earliest virtual time at which a pump could serve a queued packet
     /// (`u64::MAX` when nothing is queued). A pump strictly before this
     /// instant has zero side effects.
+    #[inline]
     pub fn next_ready_at(&self) -> Nanos {
         self.next_ready
     }
 
     /// Whether a pump at the current virtual time could serve anything.
+    #[inline]
     pub fn tx_ready(&self) -> bool {
         self.clock.now() >= self.next_ready
     }
@@ -1014,10 +1022,10 @@ impl Switch {
     }
 
     /// Wire serialization time for `bytes` at the port rate (saturating:
-    /// a degenerate sub-bit/s rate yields the u64 horizon, not a wrap).
+    /// a degenerate zero or sub-bit/s rate yields the u64 horizon, not a
+    /// panic or a wrap).
     pub fn wire_time(&self, bytes: u32) -> Nanos {
-        let ns = u128::from(bytes) * 8 * 1_000_000_000 / u128::from(self.config.port_rate_bps);
-        Nanos::try_from(ns).unwrap_or(Nanos::MAX)
+        wire_ns(bytes, self.config.port_rate_bps)
     }
 
     /// [`wire_time`](Switch::wire_time) with a one-entry memo: traffic is
@@ -1695,6 +1703,14 @@ fn eval_ctrl_operand(_spec: &DataPlaneSpec, phv: &Phv, op: &ROperand) -> u128 {
     }
 }
 
+/// Serialization time of `bytes` at `rate_bps`, saturating at the u64
+/// horizon (see [`Switch::wire_time`]).
+fn wire_ns(bytes: u32, rate_bps: u64) -> Nanos {
+    (u128::from(bytes) * 8 * 1_000_000_000)
+        .checked_div(u128::from(rate_bps))
+        .map_or(Nanos::MAX, |ns| Nanos::try_from(ns).unwrap_or(Nanos::MAX))
+}
+
 /// Build a switch directly from plain-P4 source (test/example convenience).
 pub fn switch_from_source(
     src: &str,
@@ -1835,6 +1851,32 @@ control ingress { apply(l2); }
         let sw = mk(); // 25 Gbps
                        // 1250 bytes = 10000 bits at 25Gbps = 400ns
         assert_eq!(sw.wire_time(1250), 400);
+    }
+
+    #[test]
+    fn wire_time_and_memo_agree_at_the_edges() {
+        let at_rate = |bps| {
+            let cfg = SwitchConfig {
+                port_rate_bps: bps,
+                ..SwitchConfig::default()
+            };
+            switch_from_source(L2, cfg, Clock::new()).unwrap()
+        };
+        // Frame sizes in order: the memo's seed, a change, a repeat, and
+        // back to zero.
+        let sizes = [0, 1250, 1250, 64, 0];
+        let s = crate::clock::secs(1);
+        for (bps, want) in [
+            (25_000_000_000, [0, 400, 400, 20, 0]),
+            (0, [Nanos::MAX; 5]),
+            (1, [0, 10_000 * s, 10_000 * s, 512 * s, 0]),
+        ] {
+            let mut sw = at_rate(bps);
+            for (bytes, want) in sizes.into_iter().zip(want) {
+                assert_eq!(sw.wire_time(bytes), want, "wire_time({bytes}) at {bps} bps");
+                assert_eq!(sw.wire_time_memo(bytes), want, "memo({bytes}) at {bps} bps");
+            }
+        }
     }
 
     #[test]
